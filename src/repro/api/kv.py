@@ -17,7 +17,7 @@ surface.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.api.base import Cluster, Session
 from repro.api.types import (
@@ -131,6 +131,12 @@ class KVBackend(Cluster):
     ):
         from repro.kv.store import KVCluster
 
+        #: key -> ((projection length, criterion, method), verdict) of
+        #: the last check, for :meth:`check` to reuse (``None``: the
+        #: key had no operations to check).
+        self._key_verdicts: Dict[
+            str, Tuple[Tuple[int, str, str], Optional[Verdict]]
+        ] = {}
         if existing is not None:
             self.kv = existing
         else:
@@ -274,20 +280,34 @@ class KVBackend(Cluster):
         black-box search on small projections, the white-box tag
         checker beyond; ``"blackbox"`` / ``"whitebox"`` force one
         checker for every key.
+
+        A key's verdict is reused from the previous check when its
+        projection has not grown and ``criterion``/``method`` are the
+        same: the projections are append-only, and the tags the
+        white-box checker reads are recorded with the replies.  A
+        crash or recovery grows every projection, so it re-checks
+        every key.
         """
         resolved = self._resolve_criterion(criterion)
         method = self._validate_method(method)
         per_key: Dict[str, Verdict] = {}
+        reused = self._key_verdicts
         for key, history in sorted(self.kv.per_key_histories().items()):
-            operations = history.operations()
-            if not operations:
-                continue
-            key_method = method
-            if method in ("auto", "per-key"):
-                key_method = projection_check_method(len(operations))
-            per_key[key] = check_one_register(
-                self, history, self.kv.recorder, criterion, key_method
-            )
+            stamp = (len(history), criterion, method)
+            previous = reused.get(key)
+            if previous is None or previous[0] != stamp:
+                verdict = None
+                operations = history.operations()
+                if operations:
+                    key_method = method
+                    if method in ("auto", "per-key"):
+                        key_method = projection_check_method(len(operations))
+                    verdict = check_one_register(
+                        self, history, self.kv.recorder, criterion, key_method
+                    )
+                previous = reused[key] = (stamp, verdict)
+            if previous[1] is not None:
+                per_key[key] = previous[1]
         failures = {
             key: child.reason for key, child in per_key.items() if not child.ok
         }

@@ -46,7 +46,7 @@ from repro.common.errors import ConfigurationError, OperationAborted, ReproError
 from repro.common.ids import ProcessId
 from repro.history.checker import MAX_OPERATIONS, AtomicityVerdict, check_history
 from repro.history.history import History
-from repro.history.partition import partition_history
+from repro.history.partition import Projections, partition_history
 from repro.history.recorder import HistoryRecorder
 from repro.history.register_checker import check_tagged_history
 from repro.protocol.base import RegisterProtocol, StableView
@@ -133,6 +133,7 @@ class SimCluster:
             )
             self.nodes.append(node)
         self._registers: Set[str] = set()
+        self._projections: Optional[Projections] = None
         self.injector = TriggerInjector(
             trace=self.trace,
             crash_fn=self._try_crash,
@@ -399,10 +400,20 @@ class SimCluster:
         :meth:`check_atomicity` judges); named entries carry one key's
         operations each, with every crash/recovery event replicated
         into every projection.
+
+        The cluster keeps the result and each call folds only the
+        events recorded since the previous one into it, so per-phase
+        checks do not re-partition the whole run.  The projections are
+        therefore live, append-only views: later calls grow them in
+        place.  Read them; never append to them.
         """
-        return partition_history(
-            self.history, self.recorder.register_of, registers=self._registers
+        self._projections = partition_history(
+            self.history,
+            self.recorder.register_of,
+            registers=self._registers,
+            previous=self._projections,
         )
+        return self._projections
 
     def check_atomicity(
         self,

@@ -130,6 +130,10 @@ class History:
     def events(self) -> List[HistoryEvent]:
         return list(self._events)
 
+    def events_since(self, start: int) -> List[HistoryEvent]:
+        """The events appended at or after index ``start``."""
+        return self._events[start:]
+
     def __len__(self) -> int:
         return len(self._events)
 

@@ -79,10 +79,6 @@ def projection_check_method(num_operations: int) -> str:
         return "blackbox"
     return "whitebox"
 
-#: Predicate-poll stride for the preload readiness barrier (see
-#: :meth:`repro.sim.kernel.Kernel.run_until`).
-PRELOAD_POLL_STRIDE = 16
-
 
 class KVOperation:
     """Client-side handle of one key-value operation.
@@ -408,14 +404,10 @@ class KVCluster:
         """
         for key in keys:
             self.sim.ensure_register(key)
-        # The readiness predicate touches every node, so amortize it
-        # over a stride of kernel events: the workload's measured
-        # window opens after preload returns, so a few events of
-        # overshoot are invisible.
+        # Node readiness is O(1), so the barrier polls after every event.
         ok = self.sim.run_until(
             lambda: all(node.crashed or node.ready for node in self.nodes),
             timeout=timeout,
-            poll_every=PRELOAD_POLL_STRIDE,
         )
         if not ok:
             raise ReproError("preloaded registers did not become ready")

@@ -13,7 +13,8 @@ on "is telemetry enabled" inside the kernel loop.
   their existing native counters (``SimNetwork.messages_sent`` etc.)
   with **zero** added hot-path cost.
 * :class:`Histogram` -- fixed geometric buckets with ``O(log buckets)``
-  ``observe`` and p50/p99 estimated from bucket counts.  The estimate
+  ``observe`` and p50/p99 estimated from bucket counts, clamped to the
+  observed ``[minimum, maximum]``.  The estimate
   is validated against the exact :func:`repro.obs.summary.percentile`
   in the unit tests; both share one quantile convention.
 * :class:`MetricsRegistry` -- the name -> instrument directory;
@@ -38,6 +39,47 @@ from repro.obs.summary import percentile  # noqa: F401  (shared convention)
 DEFAULT_BUCKETS: Tuple[float, ...] = tuple(
     1e-6 * (2.0 ** i) for i in range(28)
 )
+
+
+def _bucket_quantile(
+    bounds: Tuple[float, ...],
+    counts: Iterable[int],
+    total: int,
+    minimum: Optional[float],
+    maximum: Optional[float],
+    q: float,
+) -> Optional[float]:
+    """The ``q``-th percentile (0..100) estimated from bucket counts.
+
+    Interpolates linearly inside the bucket holding the target rank,
+    then clamps to ``[minimum, maximum]``: a bucket is wider than the
+    samples in it, so the raw interpolation can leave the observed
+    range, which no percentile can.
+    """
+    if total == 0:
+        return None
+    if not 0.0 <= q <= 100.0:
+        raise ValueError(f"percentile must be in [0, 100], got {q}")
+    target = total * (q / 100.0)
+    cumulative = 0
+    estimate = maximum
+    for index, count in enumerate(counts):
+        if count == 0:
+            continue
+        if cumulative + count >= target:
+            lower = bounds[index - 1] if index > 0 else 0.0
+            upper = (bounds[index] if index < len(bounds)
+                     else (maximum or lower))
+            upper = max(upper, lower)
+            fraction = (target - cumulative) / count
+            estimate = lower + (upper - lower) * fraction
+            break
+        cumulative += count
+    if minimum is not None:
+        estimate = max(estimate, minimum)
+    if maximum is not None:
+        estimate = min(estimate, maximum)
+    return estimate
 
 
 class Counter:
@@ -115,24 +157,8 @@ class Histogram:
 
     def quantile(self, q: float) -> Optional[float]:
         """Estimated ``q``-th percentile (0..100) from bucket counts."""
-        if self.total == 0:
-            return None
-        if not 0.0 <= q <= 100.0:
-            raise ValueError(f"percentile must be in [0, 100], got {q}")
-        target = self.total * (q / 100.0)
-        cumulative = 0
-        for index, count in enumerate(self.counts):
-            if count == 0:
-                continue
-            if cumulative + count >= target:
-                lower = self.bounds[index - 1] if index > 0 else 0.0
-                upper = (self.bounds[index] if index < len(self.bounds)
-                         else (self.maximum or lower))
-                upper = max(upper, lower)
-                fraction = (target - cumulative) / count
-                return lower + (upper - lower) * fraction
-            cumulative += count
-        return self.maximum
+        return _bucket_quantile(self.bounds, self.counts, self.total,
+                                self.minimum, self.maximum, q)
 
     def snapshot(self) -> "HistogramSnapshot":
         return HistogramSnapshot(
@@ -166,22 +192,8 @@ class HistogramSnapshot:
 
     def quantile(self, q: float) -> Optional[float]:
         """Same bucket-interpolating estimate as the live histogram."""
-        if self.total == 0:
-            return None
-        target = self.total * (q / 100.0)
-        cumulative = 0
-        for index, count in enumerate(self.counts):
-            if count == 0:
-                continue
-            if cumulative + count >= target:
-                lower = self.bounds[index - 1] if index > 0 else 0.0
-                upper = (self.bounds[index] if index < len(self.bounds)
-                         else (self.maximum or lower))
-                upper = max(upper, lower)
-                fraction = (target - cumulative) / count
-                return lower + (upper - lower) * fraction
-            cumulative += count
-        return self.maximum
+        return _bucket_quantile(self.bounds, self.counts, self.total,
+                                self.minimum, self.maximum, q)
 
     def diff(self, earlier: "HistogramSnapshot") -> "HistogramSnapshot":
         if earlier.bounds != self.bounds:

@@ -173,12 +173,14 @@ class RegisterFrame:
     depth: int
     message: Message
 
-    @cached_property
+    @property
     def size(self) -> int:
         """Billable bytes: register tag plus the full inner message.
 
         The inner header (op id, round, tag fields) is a real per-frame
         cost; only the datagram framing is shared across the batch.
+        Not memoized: the enclosing :class:`MuxBatch` sums its frames
+        inline, once, so this is off the hot path.
         """
         return FRAME_OVERHEAD + len(self.register) + self.message.size
 
@@ -198,4 +200,9 @@ class MuxBatch(Message):
 
     @cached_property
     def size(self) -> int:
-        return HEADER_SIZE + sum(frame.size for frame in self.frames)
+        # One pass over the frames; same sum as HEADER_SIZE plus every
+        # RegisterFrame.size, without a property call per frame.
+        total = HEADER_SIZE
+        for frame in self.frames:
+            total += FRAME_OVERHEAD + len(frame.register) + frame.message.size
+        return total

@@ -109,22 +109,30 @@ class RuntimeNode:
         self.checkpoints_committed = 0
         self._load_snapshot()
         self._slots: Dict[Optional[str], _RuntimeSlot] = {}
-        self._slots[None] = self._make_slot(None)
+        #: Hosted slots whose ``ready`` flag is False (O(1) :attr:`ready`).
+        self._not_ready = 0
+        self._add_slot(None)
         self._depths = CausalDepthTracker()
         self._timers: Dict[Tuple[Optional[str], Hashable], asyncio.TimerHandle] = {}
+        #: storage key -> its last issued store task; each store of a key
+        #: waits for the previous one, so stores land in issue order.
+        self._store_tails: Dict[str, asyncio.Task] = {}
         self.crashed = False
         self.incarnation = 0
         self.recoveries = 0
         self._booted = False
 
-    def _make_slot(self, register: Optional[str]) -> _RuntimeSlot:
+    def _add_slot(self, register: Optional[str]) -> _RuntimeSlot:
         prefix = "" if register is None else f"{register}/"
         stable = StableView(self.storage.records, self._snapshot)
         if register is not None:
             stable = stable.scoped(prefix)
         protocol = self._factory(self.pid, self.num_processes, stable)
         protocol.register = register
-        return _RuntimeSlot(register, prefix, protocol)
+        slot = _RuntimeSlot(register, prefix, protocol)
+        self._slots[register] = slot
+        self._not_ready += 1
+        return slot
 
     # -- register hosting --------------------------------------------------
 
@@ -135,9 +143,7 @@ class RuntimeNode:
 
     @property
     def ready(self) -> bool:
-        if self.crashed:
-            return False
-        return all(slot.ready for slot in self._slots.values())
+        return self._not_ready == 0 and not self.crashed
 
     def has_register(self, register: Optional[str]) -> bool:
         return register in self._slots
@@ -154,8 +160,7 @@ class RuntimeNode:
         """
         if register in self._slots:
             return
-        slot = self._make_slot(register)
-        self._slots[register] = slot
+        slot = self._add_slot(register)
         if self._booted and not self.crashed:
             self._boot_slot(slot)
 
@@ -202,6 +207,7 @@ class RuntimeNode:
             if slot.current is not None and not slot.current.future.done():
                 slot.current.future.cancel()
             slot.current = None
+        self._not_ready = len(self._slots)
         self._recorder.record_crash(self.pid)
 
     def recover(self) -> None:
@@ -456,7 +462,9 @@ class RuntimeNode:
                 if handle is not None:
                     handle.cancel()
             elif isinstance(effect, RecoveryComplete):
-                slot.ready = True
+                if not slot.ready:
+                    slot.ready = True
+                    self._not_ready -= 1
             elif isinstance(effect, Checkpoint):
                 self.checkpoint()
             else:
@@ -489,14 +497,25 @@ class RuntimeNode:
         incarnation = self.incarnation
         key = slot.prefix + effect.key
         register = slot.register
+        previous = self._store_tails.get(key)
 
         async def run() -> None:
+            # The protocol re-stores a key with rising tags: an older
+            # record landing after a newer one would lose an acked write.
+            if previous is not None:
+                await asyncio.wait([previous])
             await loop.run_in_executor(
                 None, self.storage.store, key, effect.record, effect.size
             )
             self._on_store_durable(effect.token, depth, op, incarnation, register)
 
-        loop.create_task(run())
+        def forget(task: asyncio.Task) -> None:
+            if self._store_tails.get(key) is task:
+                del self._store_tails[key]
+
+        task = loop.create_task(run())
+        self._store_tails[key] = task
+        task.add_done_callback(forget)
 
     def _complete(self, effect: Reply, depth: int, slot: _RuntimeSlot) -> None:
         handle = slot.current

@@ -7,6 +7,13 @@ semantics where an in-flight store that crashes leaves the old record
 intact.  Records are serialized with :mod:`pickle` (library-internal
 data only; nothing here parses untrusted input).
 
+Stores may run concurrently (the runtime issues them from executor
+threads).  Stores and deletes of one key are serialized by a per-key
+lock, so they never share the key's temporary file and the file on
+disk and the in-memory record of a key always hold the same record.
+Which of two overlapping stores of one key lands last is the caller's
+to order (:class:`repro.runtime.node.RuntimeNode` chains them).
+
 Startup is quarantine-and-continue: leftover ``.tmp`` files (a crash
 before the atomic rename) are deleted, and a record file that fails to
 read or decode is renamed aside with a ``.corrupt`` extension and
@@ -21,6 +28,7 @@ from __future__ import annotations
 import logging
 import os
 import pickle
+import threading
 import zlib
 from pathlib import Path
 from typing import Any, Dict, Optional, Tuple
@@ -43,6 +51,11 @@ class FileStableStorage:
         except OSError as exc:
             raise StorageError(f"cannot create storage dir {self._root}: {exc}")
         self._records: Dict[str, Tuple[Any, ...]] = {}
+        #: key -> lock serializing that key's stores and deletes
+        #: (``dict.setdefault`` is atomic, so racing first stores of a
+        #: key agree on one lock).
+        self._key_locks: Dict[str, threading.Lock] = {}
+        self._stats_lock = threading.Lock()
         self.records_quarantined = 0
         self._load()
         self.stores_completed = 0
@@ -97,27 +110,30 @@ class FileStableStorage:
 
         Returns only once the bytes are on disk (write + fsync +
         rename + directory fsync): the ``store`` primitive of the
-        model.  Runs in an executor thread when called from asyncio.
+        model.  Runs in an executor thread when called from asyncio;
+        overlapping stores of one key take effect one at a time.
         """
         path = self._path(key)
         tmp = path.with_suffix(".tmp")
         payload = pickle.dumps((key, record))
-        try:
-            with open(tmp, "wb") as handle:
-                handle.write(payload)
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp, path)
-            dir_fd = os.open(self._root, os.O_RDONLY)
+        with self._key_locks.setdefault(key, threading.Lock()):
             try:
-                os.fsync(dir_fd)
-            finally:
-                os.close(dir_fd)
-        except OSError as exc:
-            raise StorageError(f"store of {key!r} failed: {exc}")
-        self._records[key] = record
-        self.stores_completed += 1
-        self.bytes_logged += size
+                with open(tmp, "wb") as handle:
+                    handle.write(payload)
+                    handle.flush()
+                    os.fsync(handle.fileno())
+                os.replace(tmp, path)
+                dir_fd = os.open(self._root, os.O_RDONLY)
+                try:
+                    os.fsync(dir_fd)
+                finally:
+                    os.close(dir_fd)
+            except OSError as exc:
+                raise StorageError(f"store of {key!r} failed: {exc}")
+            self._records[key] = record
+        with self._stats_lock:
+            self.stores_completed += 1
+            self.bytes_logged += size
 
     def retrieve(self, key: str) -> Optional[Tuple[Any, ...]]:
         """Read the last durable record under ``key`` (or ``None``)."""
@@ -130,19 +146,20 @@ class FileStableStorage:
         directory fsync, so a truncated record cannot resurface after
         a crash.  Deleting a missing key is a no-op.
         """
-        self._records.pop(key, None)
         path = self._path(key)
-        try:
-            path.unlink()
-        except FileNotFoundError:
-            return
-        except OSError as exc:
-            raise StorageError(f"delete of {key!r} failed: {exc}")
-        dir_fd = os.open(self._root, os.O_RDONLY)
-        try:
-            os.fsync(dir_fd)
-        finally:
-            os.close(dir_fd)
+        with self._key_locks.setdefault(key, threading.Lock()):
+            self._records.pop(key, None)
+            try:
+                path.unlink()
+            except FileNotFoundError:
+                return
+            except OSError as exc:
+                raise StorageError(f"delete of {key!r} failed: {exc}")
+            dir_fd = os.open(self._root, os.O_RDONLY)
+            try:
+                os.fsync(dir_fd)
+            finally:
+                os.close(dir_fd)
 
     def reload_from_disk(self) -> None:
         """Drop the in-memory view and re-read the files.

@@ -230,7 +230,10 @@ class SimNode:
 
         self._stable_view = StableView(storage.records, self._snapshot)
         self._slots: Dict[Optional[str], _RegisterSlot] = {}
-        self._slots[DEFAULT_REGISTER] = self._make_slot(DEFAULT_REGISTER)
+        #: Hosted slots whose ``ready`` flag is False, so that
+        #: :attr:`ready` costs O(1) however many registers the node hosts.
+        self._not_ready = 0
+        self._add_slot(DEFAULT_REGISTER)
         self._depths = CausalDepthTracker()
         self._timers: Dict[Tuple[Optional[str], Hashable], EventHandle] = {}
         # Egress coalescing of named-slot frames, per destination.
@@ -239,7 +242,7 @@ class SimNode:
 
         network.attach(pid, self._on_envelope)
 
-    def _make_slot(self, register: Optional[str]) -> _RegisterSlot:
+    def _add_slot(self, register: Optional[str]) -> _RegisterSlot:
         if register is None:
             prefix, stable = "", self._stable_view
         else:
@@ -247,7 +250,10 @@ class SimNode:
             stable = self._stable_view.scoped(prefix)
         protocol = self._factory(self.pid, self._num_processes, stable)
         protocol.register = register
-        return _RegisterSlot(register, prefix, protocol)
+        slot = _RegisterSlot(register, prefix, protocol)
+        self._slots[register] = slot
+        self._not_ready += 1
+        return slot
 
     # -- register hosting --------------------------------------------------
 
@@ -291,8 +297,7 @@ class SimNode:
             raise ProtocolError("the default register always exists")
         if register in self._slots:
             return
-        slot = self._make_slot(register)
-        self._slots[register] = slot
+        slot = self._add_slot(register)
         if self._booted and self.state != CRASHED:
             self._boot_slot(slot)
 
@@ -342,6 +347,7 @@ class SimNode:
                 slot.current.aborted = True
                 slot.current._settle()
             slot.current = None
+        self._not_ready = len(self._slots)
         self._recorder.record_crash(self.pid)
         if self._trace.wants(tracing.CRASH):
             self._trace.emit(
@@ -580,9 +586,7 @@ class SimNode:
     @property
     def ready(self) -> bool:
         """Whether every hosted slot finished initializing/recovering."""
-        if self.state == CRASHED:
-            return False
-        return all(slot.ready for slot in self._slots.values())
+        return self._not_ready == 0 and self.state != CRASHED
 
     @property
     def crashed(self) -> bool:
@@ -765,10 +769,10 @@ class SimNode:
                 if handle is not None:
                     handle.cancel()
             elif cls is RecoveryComplete:
-                slot.ready = True
-                if self.state != UP and all(
-                    s.ready for s in self._slots.values()
-                ):
+                if not slot.ready:
+                    slot.ready = True
+                    self._not_ready -= 1
+                if self.state != UP and self._not_ready == 0:
                     self.state = UP
                     if self._recover_began is not None:
                         duration = self._kernel.now - self._recover_began

@@ -5,12 +5,18 @@ are slower than the simulator tests but prove the protocol code runs
 outside the simulator.
 """
 
+import asyncio
+import sys
+import threading
+import time
+
 import pytest
 
 from repro.history.checker import (
     check_persistent_atomicity,
     check_transient_atomicity,
 )
+from repro.protocol.base import Store
 from repro.runtime import LiveCluster
 from repro.runtime.storage import FileStableStorage
 
@@ -44,6 +50,37 @@ class TestFileStableStorage:
         storage.store("a", (1,), size=100)
         assert storage.stores_completed == 1
         assert storage.bytes_logged == 100
+
+    def test_concurrent_stores_of_one_key_agree_with_disk(self, tmp_path):
+        # Overlapping executor stores of one key used to share a temp
+        # file, so one rename failed with StorageError.
+        storage = FileStableStorage(tmp_path / "n0")
+        errors = []
+
+        def writer(thread):
+            try:
+                for index in range(25):
+                    storage.store("k", (thread, index), size=1)
+            except Exception as exc:  # collected, asserted below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=writer, args=(t,)) for t in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert storage.stores_completed == 200
+        in_memory = storage.records["k"]
+        storage.reload_from_disk()
+        assert storage.retrieve("k") == in_memory
+        assert not list((tmp_path / "n0").glob("*.tmp"))
 
     def test_leftover_tmp_files_are_removed_on_load(self, tmp_path):
         storage = FileStableStorage(tmp_path / "n0")
@@ -87,6 +124,44 @@ def live_cluster():
     cluster.start()
     yield cluster
     cluster.close()
+
+
+class TestLiveStoreOrder:
+    def test_overlapping_stores_of_one_key_land_in_issue_order(self, tmp_path):
+        # The protocol re-stores a key with rising tags; the last store
+        # issued must be the record left on disk, and acks must follow
+        # issue order.  Earlier stores are made slower here, so an
+        # unordered executor would land the oldest record last.
+        count = 8
+        with LiveCluster(
+            protocol="persistent", num_processes=3, storage_root=tmp_path
+        ) as cluster:
+            node = cluster.nodes[0]
+            store = node.storage.store
+
+            def slow_store(key, record, size):
+                if key == "probe":
+                    time.sleep((count - record[0]) * 0.01)
+                store(key, record, size)
+
+            node.storage.store = slow_store
+            durable = []
+            node._on_store_durable = lambda token, *rest: durable.append(token)
+
+            async def run():
+                effects = [
+                    Store(key="probe", record=(index,), size=1, token=index)
+                    for index in range(count)
+                ]
+                node._execute(effects, depth=0, op=None, slot=node._slots[None])
+                while len(durable) < count:
+                    await asyncio.sleep(0.01)
+
+            cluster._call(run())
+            assert durable == list(range(count))
+            assert node.storage.retrieve("probe") == (count - 1,)
+            on_disk = FileStableStorage(tmp_path / "node-0")
+            assert on_disk.retrieve("probe") == (count - 1,)
 
 
 class TestLiveCluster:

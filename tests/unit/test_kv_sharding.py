@@ -3,6 +3,7 @@
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.common.errors import ConfigurationError
 from repro.common.ids import OperationId
@@ -118,3 +119,101 @@ class TestPartitionHistory:
         parts = partition_history(history, registers.get)
         for part in parts.values():
             part.assert_well_formed()
+
+
+def _fold_in_steps(events, cuts, register_of, registers):
+    """Partition ``events`` as they are appended, folding at each cut."""
+    history = History()
+    projections = None
+    fed = 0
+    for cut in sorted(cuts) + [len(events)]:
+        for event in events[fed:cut]:
+            history.append(event)
+        fed = max(fed, cut)
+        projections = partition_history(
+            history, register_of, registers=registers, previous=projections
+        )
+    return history, projections
+
+
+def _as_events(projections):
+    return {key: list(history) for key, history in projections.items()}
+
+
+class TestSuffixFoldedPartition:
+    def test_fold_equals_from_scratch_with_key_first_seen_after_crash(self):
+        a, b, c = _op(0, 1), _op(1, 1), _op(1, 2)
+        events = [
+            Invoke(time=0.0, pid=0, op=a, kind="write", value="x"),
+            Crash(time=1.0, pid=2),
+            # Folded from here on: "beta" first appears after a crash
+            # that an earlier fold already consumed.
+            Invoke(time=2.0, pid=1, op=b, kind="read"),
+            Recover(time=3.0, pid=2),
+            Reply(time=4.0, pid=0, op=a, kind="write"),
+            Reply(time=5.0, pid=1, op=b, kind="read", result="x"),
+            Crash(time=6.0, pid=0),
+            Invoke(time=7.0, pid=1, op=c, kind="write", value="y"),
+        ]
+        registers = {a: "alpha", b: "beta", c: "gamma"}
+        history, folded = _fold_in_steps(events, [2, 5], registers.get, ["quiet"])
+        scratch = partition_history(history, registers.get, registers=["quiet"])
+        assert _as_events(folded) == _as_events(scratch)
+        assert [type(e) for e in folded["beta"]] == [Crash, Invoke, Recover, Reply, Crash]
+        # Forced before any event, "quiet" still carries every failure.
+        assert [type(e) for e in folded["quiet"]] == [Crash, Recover, Crash]
+        assert [type(e) for e in folded["gamma"]] == [Crash, Recover, Crash, Invoke]
+
+    def test_key_forced_after_a_crash_is_seeded_with_every_failure(self):
+        history = History([Crash(time=0.0, pid=0)])
+        projections = partition_history(history, lambda op: None)
+        history.append(Recover(time=1.0, pid=0))
+        projections = partition_history(
+            history, lambda op: None, registers=["late"], previous=projections
+        )
+        assert [type(e) for e in projections["late"]] == [Crash, Recover]
+
+    def test_fold_returns_the_same_live_projections(self):
+        a = _op(0, 1)
+        history = History([Invoke(time=0.0, pid=0, op=a, kind="write", value="x")])
+        first = partition_history(history, lambda op: "k")
+        projection = first["k"]
+        history.append(Reply(time=1.0, pid=0, op=a, kind="write"))
+        second = partition_history(history, lambda op: "k", previous=first)
+        assert second is first and second["k"] is projection
+        assert len(projection) == 2
+
+    def test_previous_from_another_history_is_rejected(self):
+        projections = partition_history(History(), lambda op: None)
+        with pytest.raises(ValueError):
+            partition_history(History(), lambda op: None, previous=projections)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        script=st.lists(
+            st.tuples(
+                st.sampled_from(["invoke", "reply", "crash", "recover"]),
+                st.integers(0, 2),
+                st.sampled_from([None, "a", "b", "c"]),
+            ),
+            max_size=30,
+        ),
+        cuts=st.lists(st.integers(0, 30), max_size=4),
+        forced=st.lists(st.sampled_from(["a", "d"]), max_size=2),
+    )
+    def test_any_fold_schedule_equals_from_scratch(self, script, cuts, forced):
+        register_of = {}
+        events = []
+        for index, (kind, pid, register) in enumerate(script):
+            if kind == "crash":
+                events.append(Crash(time=float(index), pid=pid))
+            elif kind == "recover":
+                events.append(Recover(time=float(index), pid=pid))
+            else:
+                op = _op(pid, index)
+                register_of[op] = register
+                cls = Invoke if kind == "invoke" else Reply
+                events.append(cls(time=float(index), pid=pid, op=op, kind="read"))
+        history, folded = _fold_in_steps(events, cuts, register_of.get, forced)
+        scratch = partition_history(history, register_of.get, registers=forced)
+        assert _as_events(folded) == _as_events(scratch)

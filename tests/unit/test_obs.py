@@ -87,6 +87,31 @@ class TestHistogram:
         with pytest.raises(ValueError):
             histogram.quantile(101.0)
 
+    def test_quantiles_stay_inside_the_observed_range(self):
+        # Interpolating inside a wide bucket used to leave [min, max].
+        histogram = Histogram("h", bounds=(1.0, 10.0))
+        for value in (6.0, 7.0, 8.0):
+            histogram.observe(value)
+        for view in (histogram, histogram.snapshot()):
+            assert view.quantile(0.0) == 6.0
+            assert 6.0 <= view.quantile(50.0) <= 8.0
+            assert view.quantile(100.0) == 8.0
+
+    def test_recovery_storm_quantiles_are_clamped(self):
+        from repro.scenarios import get_scenario, run_scenario
+
+        result = run_scenario(
+            get_scenario("checkpointed-recovery-storm"), seed=0, ops=900
+        )
+        histograms = result.metrics_snapshot.histograms
+        reads = histograms["op.read.latency"]
+        # The raw estimate read 395us here, below the 441us minimum.
+        assert reads.minimum == pytest.approx(441.04e-6)
+        assert reads.quantile(50.0) == reads.minimum
+        for snapshot in histograms.values():
+            for q in (0.0, 50.0, 99.0, 100.0):
+                assert snapshot.minimum <= snapshot.quantile(q) <= snapshot.maximum
+
     def test_overflow_bucket(self):
         histogram = Histogram("h", bounds=(1.0, 2.0))
         histogram.observe(50.0)
