@@ -10,9 +10,10 @@ wall-clock costs to ``BENCH_trace.json``:
 * **ring-on** -- the default production configuration: the bounded
   binary ring records every trace point, nothing else.  The contract
   is that this stays within a few percent of trace-off.
-* **full-trace** -- ``capture_trace=True``: every event materialised
-  as a :class:`~repro.sim.tracing.TraceEvent` (the debugging
-  configuration; expected to cost real time at soak scale).
+* **full-trace** -- ``capture_trace=True``: every event's coordinates
+  and detail values are kept, to be rendered as
+  :class:`~repro.sim.tracing.TraceEvent` objects on read (the
+  debugging configuration; expected to cost real time at soak scale).
 
 Methodology -- the numbers are only as good as their isolation:
 

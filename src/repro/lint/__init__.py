@@ -7,8 +7,7 @@ bug classes across all seeds with an AST pass over the source:
 
 * :mod:`repro.lint.rules` -- one visitor class per rule (unseeded
   randomness, wall-clock reads, unordered-set iteration, trace-kind
-  encoding stability, hot-path guard discipline, capability/verb
-  parity, pool picklability);
+  encoding stability, capability/verb parity, pool picklability);
 * :mod:`repro.lint.engine` -- parses each file once, dispatches the
   rules, applies inline ``# repro: allow[RULE] reason`` suppressions,
   and reports missing-reason and stale suppressions as findings of

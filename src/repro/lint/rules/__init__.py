@@ -3,7 +3,7 @@
 ``RULES`` is the single source of truth for which rules exist; the
 CLI's ``--rule`` filter, the docs cross-check in
 ``tools/check_docs.py`` and the fixture coverage test in
-``tests/unit/test_lint.py`` all read it.  Rules DET/TRC/HOT/API/POOL
+``tests/unit/test_lint.py`` all read it.  Rules DET/TRC/API/POOL
 are AST visitors (:class:`~repro.lint.rules.base.Rule` subclasses);
 LINT001/LINT002 are *engine-level* -- they are produced by the
 suppression machinery in :mod:`repro.lint.engine` rather than by an
@@ -18,7 +18,6 @@ from typing import Dict, List
 from repro.lint.rules.api import API001
 from repro.lint.rules.base import EngineRule, Rule
 from repro.lint.rules.determinism import DET001, DET002, DET003
-from repro.lint.rules.hotpath import HOT001
 from repro.lint.rules.pool import POOL001
 from repro.lint.rules.trace import TRC001
 
@@ -51,7 +50,6 @@ RULES: Dict[str, Rule] = {
         DET002(),
         DET003(),
         TRC001(),
-        HOT001(),
         API001(),
         POOL001(),
         LINT001(),

@@ -19,7 +19,6 @@ from typing import Iterable, Iterator, List, Optional, Sequence
 
 from repro.lint.config import LintConfig
 from repro.lint.findings import Finding
-from repro.lint.suppressions import is_hot_path
 
 
 @dataclass(frozen=True)
@@ -34,10 +33,6 @@ class ModuleUnderLint:
     path: str
     tree: ast.Module
     lines: Sequence[str]
-
-    @property
-    def hot_path(self) -> bool:
-        return is_hot_path(self.lines)
 
 
 class Rule:

@@ -128,8 +128,8 @@ class TriggerInjector:
     The injector subscribes to the trace lazily, on the first installed
     trigger: predicates are opaque, so once any trigger exists it must
     see every event kind, but a cluster that never installs one (the
-    common benchmark configuration) keeps the trace's allocation-free
-    emission fast path.
+    common benchmark configuration) never has a
+    :class:`~repro.sim.tracing.TraceEvent` built for it.
     """
 
     def __init__(

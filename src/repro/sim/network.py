@@ -18,10 +18,6 @@ needs termination, matching the "eventually a majority is permanently
 up" assumption).
 """
 
-# repro: hot-path
-# (HOT001: every per-event emitter below must guard TraceEvent/emit
-# construction behind trace.wants() and tick() on the fast path.)
-
 from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Set, Tuple
@@ -32,7 +28,7 @@ from repro.net.delay import DelayModel
 from repro.protocol.messages import Message
 from repro.sim import tracing
 from repro.sim.kernel import Kernel
-from repro.sim.tracing import NULL_TRACE, Trace, TraceEvent
+from repro.sim.tracing import NULL_TRACE, Trace
 
 #: One-way delay for a process's message to its own listener (loopback
 #: does not cross the wire; the paper's implementation runs the
@@ -239,19 +235,7 @@ class SimNetwork:
         self.messages_sent += 1
         self.bytes_sent += size
         trace = self._trace
-        if trace.wants(tracing.SEND):
-            trace.emit(
-                TraceEvent(
-                    time=self._kernel.now,
-                    kind=tracing.SEND,
-                    pid=src,
-                    detail={
-                        "dst": dst, "msg": message.kind, "op": message.op, "size": size
-                    },
-                )
-            )
-        else:
-            trace.tick(tracing.SEND, self._kernel.now, src, message.op)
+        trace.tick(tracing.SEND, self._kernel.now, src, message.op, dst, message, size)
         if self._blocked_links and (src, dst) in self._blocked_links:
             self._drop(src, dst, message, reason="partition")
             return
@@ -272,19 +256,9 @@ class SimNetwork:
             and self._duplicate_probability > 0.0
             and rng.random() < self._duplicate_probability
         ):
-            if trace.wants(tracing.DUPLICATE):
-                trace.emit(
-                    TraceEvent(
-                        time=self._kernel.now,
-                        kind=tracing.DUPLICATE,
-                        pid=src,
-                        detail={"dst": dst, "msg": message.kind},
-                    )
-                )
-            else:
-                trace.tick(
-                    tracing.DUPLICATE, self._kernel.now, src, message.op
-                )
+            trace.tick(
+                tracing.DUPLICATE, self._kernel.now, src, message.op, dst, message
+            )
             self._schedule_delivery(src, dst, message, depth)
 
     def broadcast(self, src: ProcessId, message: Message, depth: int) -> None:
@@ -322,42 +296,21 @@ class SimNetwork:
         if handler is None:
             return
         self.messages_delivered += 1
-        trace = self._trace
-        if trace.wants(tracing.DELIVER):
-            trace.emit(
-                TraceEvent(
-                    time=self._kernel.now,
-                    kind=tracing.DELIVER,
-                    pid=envelope.dst,
-                    detail={
-                        "src": envelope.src,
-                        "msg": envelope.message.kind,
-                        "op": envelope.message.op,
-                    },
-                )
-            )
-        else:
-            trace.tick(
-                tracing.DELIVER,
-                self._kernel.now,
-                envelope.dst,
-                envelope.message.op,
-            )
+        message = envelope.message
+        self._trace.tick(
+            tracing.DELIVER,
+            self._kernel.now,
+            envelope.dst,
+            message.op,
+            envelope.src,
+            message,
+        )
         handler(envelope)
 
     def _drop(
         self, src: ProcessId, dst: ProcessId, message: Message, reason: str
     ) -> None:
         self.messages_dropped += 1
-        trace = self._trace
-        if trace.wants(tracing.DROP):
-            trace.emit(
-                TraceEvent(
-                    time=self._kernel.now,
-                    kind=tracing.DROP,
-                    pid=src,
-                    detail={"dst": dst, "msg": message.kind, "reason": reason},
-                )
-            )
-        else:
-            trace.tick(tracing.DROP, self._kernel.now, src, message.op)
+        self._trace.tick(
+            tracing.DROP, self._kernel.now, src, message.op, dst, message, reason
+        )

@@ -34,10 +34,6 @@ while the node was down); client operations are rejected until the
 slot signals :class:`~repro.protocol.base.RecoveryComplete`.
 """
 
-# repro: hot-path
-# (HOT001: every per-event emitter below must guard TraceEvent/emit
-# construction behind trace.wants() and tick() on the fast path.)
-
 from __future__ import annotations
 
 from typing import Any, Callable, Dict, Hashable, List, Optional, Set, Tuple
@@ -69,7 +65,7 @@ from repro.storage import checkpoint as ckpt
 from repro.sim.kernel import EventHandle, Kernel
 from repro.sim.network import Envelope, SimNetwork
 from repro.sim.storage import SimStableStorage
-from repro.sim.tracing import NULL_TRACE, Trace, TraceEvent
+from repro.sim.tracing import NULL_TRACE, Trace
 
 ProtocolFactory = Callable[[ProcessId, int, StableView], RegisterProtocol]
 
@@ -349,12 +345,7 @@ class SimNode:
             slot.current = None
         self._not_ready = len(self._slots)
         self._recorder.record_crash(self.pid)
-        if self._trace.wants(tracing.CRASH):
-            self._trace.emit(
-                TraceEvent(time=self._kernel.now, kind=tracing.CRASH, pid=self.pid)
-            )
-        else:
-            self._trace.tick(tracing.CRASH, self._kernel.now, self.pid)
+        self._trace.tick(tracing.CRASH, self._kernel.now, self.pid)
 
     def recover(self) -> None:
         """Restart the process and run every slot's recovery procedure.
@@ -370,12 +361,7 @@ class SimNode:
         self.state = RECOVERING
         self._recover_began = self._kernel.now
         self._recorder.record_recovery(self.pid)
-        if self._trace.wants(tracing.RECOVER):
-            self._trace.emit(
-                TraceEvent(time=self._kernel.now, kind=tracing.RECOVER, pid=self.pid)
-            )
-        else:
-            self._trace.tick(tracing.RECOVER, self._kernel.now, self.pid)
+        self._trace.tick(tracing.RECOVER, self._kernel.now, self.pid)
         if self.recovery_scan:
             self._scanning = True
             self._kernel.schedule(
@@ -476,18 +462,9 @@ class SimNode:
         record = ckpt.build_snapshot_record(seq, captured, sizes)
         size = ckpt.snapshot_store_size(sizes.values())
         self._ckpt_in_progress = True
-        trace = self._trace
-        if trace.wants(tracing.CKPT_BEGIN):
-            trace.emit(
-                TraceEvent(
-                    time=self._kernel.now,
-                    kind=tracing.CKPT_BEGIN,
-                    pid=self.pid,
-                    detail={"seq": seq, "entries": len(captured)},
-                )
-            )
-        else:
-            trace.tick(tracing.CKPT_BEGIN, self._kernel.now, self.pid)
+        self._trace.tick(
+            tracing.CKPT_BEGIN, self._kernel.now, self.pid, None, seq, len(captured)
+        )
         incarnation = self.incarnation
         self._storage.store(
             ckpt.TENTATIVE_KEY,
@@ -511,20 +488,9 @@ class SimNode:
     ) -> None:
         if incarnation != self.incarnation or self.state != UP:
             return
-        trace = self._trace
-        if trace.wants(tracing.CKPT_TENTATIVE):
-            trace.emit(
-                TraceEvent(
-                    time=self._kernel.now,
-                    kind=tracing.CKPT_TENTATIVE,
-                    pid=self.pid,
-                    detail={"seq": seq},
-                )
-            )
-        else:
-            trace.tick(tracing.CKPT_TENTATIVE, self._kernel.now, self.pid)
+        self._trace.tick(tracing.CKPT_TENTATIVE, self._kernel.now, self.pid, None, seq)
         # A trace trigger (TornStore) may have crashed us during the
-        # emit above -- exactly between the two phases; the permanent
+        # tick above -- exactly between the two phases; the permanent
         # store must then never be issued.
         if incarnation != self.incarnation or self.state != UP:
             return
@@ -566,22 +532,15 @@ class SimNode:
         storage.compact()
         self._ckpt_in_progress = False
         self.checkpoints_committed += 1
-        trace = self._trace
-        if trace.wants(tracing.CKPT_COMMIT):
-            trace.emit(
-                TraceEvent(
-                    time=self._kernel.now,
-                    kind=tracing.CKPT_COMMIT,
-                    pid=self.pid,
-                    detail={
-                        "seq": seq,
-                        "entries": len(captured),
-                        "truncated": truncated,
-                    },
-                )
-            )
-        else:
-            trace.tick(tracing.CKPT_COMMIT, self._kernel.now, self.pid)
+        self._trace.tick(
+            tracing.CKPT_COMMIT,
+            self._kernel.now,
+            self.pid,
+            None,
+            seq,
+            len(captured),
+            truncated,
+        )
 
     @property
     def ready(self) -> bool:
@@ -632,18 +591,7 @@ class SimNode:
         self._recorder.record_invoke(op, self.pid, kind, value)
         if register is not None:
             self._recorder.record_register(op, register)
-        trace = self._trace
-        if trace.wants(tracing.INVOKE):
-            trace.emit(
-                TraceEvent(
-                    time=self._kernel.now,
-                    kind=tracing.INVOKE,
-                    pid=self.pid,
-                    detail={"op": op, "kind": kind, "register": register},
-                )
-            )
-        else:
-            trace.tick(tracing.INVOKE, self._kernel.now, self.pid, op)
+        self._trace.tick(tracing.INVOKE, self._kernel.now, self.pid, op, kind, register)
         self._depths.observe(op, 0)
         if kind == "read":
             effects = slot.protocol.invoke_read(op)
@@ -710,18 +658,7 @@ class SimNode:
         if slot is None:
             return
         self._timers.pop((register, token), None)
-        trace = self._trace
-        if trace.wants(tracing.TIMER):
-            trace.emit(
-                TraceEvent(
-                    time=self._kernel.now,
-                    kind=tracing.TIMER,
-                    pid=self.pid,
-                    detail={"token": token, "register": register},
-                )
-            )
-        else:
-            trace.tick(tracing.TIMER, self._kernel.now, self.pid, op)
+        self._trace.tick(tracing.TIMER, self._kernel.now, self.pid, op, token, register)
         effects = slot.protocol.on_timer(token)
         self._execute(effects, depth=depth, op=op, slot=slot)
 
@@ -780,19 +717,13 @@ class SimNode:
                         self.recovery_times.append(duration)
                         if self.on_recovery_time is not None:
                             self.on_recovery_time(duration)
-                if self._trace.wants(tracing.RECOVERY_DONE):
-                    self._trace.emit(
-                        TraceEvent(
-                            time=self._kernel.now,
-                            kind=tracing.RECOVERY_DONE,
-                            pid=self.pid,
-                            detail={"register": slot.register},
-                        )
-                    )
-                else:
-                    self._trace.tick(
-                        tracing.RECOVERY_DONE, self._kernel.now, self.pid
-                    )
+                self._trace.tick(
+                    tracing.RECOVERY_DONE,
+                    self._kernel.now,
+                    self.pid,
+                    None,
+                    slot.register,
+                )
             elif cls is Checkpoint:
                 self.begin_checkpoint()
             else:
@@ -922,18 +853,7 @@ class SimNode:
         self._recorder.record_causal_logs(effect.op, causal)
         if effect.tag is not None:
             self._recorder.record_tag(effect.op, effect.tag)
-        trace = self._trace
-        if trace.wants(tracing.REPLY):
-            trace.emit(
-                TraceEvent(
-                    time=self._kernel.now,
-                    kind=tracing.REPLY,
-                    pid=self.pid,
-                    detail={
-                        "op": effect.op, "kind": handle.kind, "causal_logs": causal
-                    },
-                )
-            )
-        else:
-            trace.tick(tracing.REPLY, self._kernel.now, self.pid, effect.op)
+        self._trace.tick(
+            tracing.REPLY, self._kernel.now, self.pid, effect.op, handle.kind, causal
+        )
         handle._settle()

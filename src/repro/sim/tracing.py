@@ -1,48 +1,50 @@
 """Structured traces of simulation runs.
 
 Every interesting event in a run -- sends, deliveries, drops, stores,
-invocations, replies, crashes, recoveries -- is appended to a
-:class:`Trace` as a :class:`TraceEvent`.  The trace is the single
-source of truth for:
+invocations, replies, crashes, recoveries -- is recorded by one call::
 
-* the failure injector (triggers fire on trace events, which is how the
-  adversarial schedules of the lower-bound proofs are reproduced);
-* the metrics layer (latencies, message counts, log counts per
-  operation);
-* debugging (a trace pretty-prints as a readable run transcript).
+    trace.tick(tracing.SEND, now, src, message.op, dst, message, size)
 
-Fast path.  Building a :class:`TraceEvent` (a dataclass plus a detail
-dict) per simulated message is the single biggest per-event cost when
-nobody is looking, so emitters are expected to guard construction::
+:meth:`Trace.tick` takes the event's coordinates ``(kind, time, pid,
+op)`` and up to three positional detail values, which
+:data:`DETAIL_FIELDS` names per kind.  What happens next depends on
+who is looking:
 
-    if trace.wants(tracing.SEND):
-        trace.emit(TraceEvent(...))     # someone captures or listens
-    else:
-        trace.tick(tracing.SEND)        # count-only, allocation-free
+* always, :meth:`Trace.count` is bumped and the coordinates go into
+  the bounded flight recorder (:class:`repro.obs.ring.RingTrace`), so
+  counts and the tail of any run are the same whether anyone captures
+  or not;
+* when the trace captures, the coordinates and detail values are
+  appended to plain column lists, and :attr:`Trace.events`,
+  :meth:`Trace.filter`, :meth:`Trace.format` and iteration render
+  them into :class:`TraceEvent` objects only when read;
+* when a listener is subscribed, a :class:`TraceEvent` is built at
+  record time and handed to it synchronously, before the simulator
+  processes the next event -- which is how the failure injector's
+  triggers reproduce the instant-precise adversarial schedules of the
+  lower-bound proofs.
 
-:meth:`Trace.wants` answers in O(1) from a precomputed set: a kind is
-wanted when the trace captures, when a listener subscribed to every
-kind, or when a listener subscribed to that kind specifically.
-:meth:`Trace.tick` keeps :meth:`Trace.count` exact either way, so the
-metrics layer sees identical numbers with tracing on or off.
+With no capture and no listener a tick is a count plus four ring slot
+stores: no event object, no detail dict, no per-call tuple.  That is
+why the detail values are positional arguments rather than
+``*args``/``**kwargs``.  They must be immutable, because capture keeps
+them until read: a message is passed whole and its ``kind`` is read at
+render time.
+
+The trace feeds the failure injector, the metrics layer (latencies,
+message counts, log counts per operation) and debugging (a trace
+pretty-prints as a readable run transcript).  Recording never
+schedules kernel events or consumes randomness, so seeded runs are
+byte-identical with capture and the ring on or off
+(``Trace(flight_recorder=False)`` disables the ring).
 :data:`NULL_TRACE` is a module-level sink for components run without
-any trace at all; it wants nothing and refuses listeners.
-
-Flight recorder.  Independently of capture, every trace feeds a
-bounded :class:`repro.obs.ring.RingTrace` of ``(time, kind-id, pid,
-op)`` codes -- cheap enough to leave always on, so the tail of any run
-is reconstructable after a crash without re-running with capture
-enabled.  :meth:`Trace.tick` therefore accepts the event coordinates
-as optional positional arguments; emitters pass them on both the fast
-and slow paths.  Recording never schedules kernel events or consumes
-randomness, so seeded runs are byte-identical with the ring on or off
-(``Trace(flight_recorder=False)`` disables it).
+any trace at all; it records nothing and refuses listeners.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, FrozenSet, Iterator, List, Optional, Sequence
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.obs.ring import DEFAULT_CAPACITY, RingTrace
 
@@ -87,6 +89,28 @@ ALL_KINDS = (
 #: kind name -> ring code, the binary encoding of the flight recorder.
 KIND_IDS = {kind: code for code, kind in enumerate(ALL_KINDS)}
 
+#: kind -> the detail keys of its events, in detail order.  ``"op"``
+#: is the event's op coordinate; every other name takes the next of
+#: :meth:`Trace.tick`'s positional detail values, and ``"msg"`` is a
+#: message rendered as its ``kind``.
+DETAIL_FIELDS: Dict[str, Tuple[str, ...]] = {
+    SEND: ("dst", "msg", "op", "size"),
+    DELIVER: ("src", "msg", "op"),
+    DROP: ("dst", "msg", "reason"),
+    DUPLICATE: ("dst", "msg"),
+    STORE_BEGIN: ("key", "size", "done_at", "op"),
+    STORE_END: ("key", "size", "op"),
+    INVOKE: ("op", "kind", "register"),
+    REPLY: ("op", "kind", "causal_logs"),
+    CRASH: (),
+    RECOVER: (),
+    RECOVERY_DONE: ("register",),
+    TIMER: ("token", "register"),
+    CKPT_BEGIN: ("seq", "entries"),
+    CKPT_TENTATIVE: ("seq",),
+    CKPT_COMMIT: ("seq", "entries", "truncated"),
+}
+
 
 @dataclass(frozen=True)
 class TraceEvent:
@@ -105,17 +129,31 @@ class TraceEvent:
 Listener = Callable[[TraceEvent], None]
 
 
-class Trace:
-    """Append-only event log with live listeners.
+def _render(
+    kind: str, time: float, pid: int, op: Any, a: Any, b: Any, c: Any
+) -> TraceEvent:
+    """The :class:`TraceEvent` of one recorded :meth:`Trace.tick`."""
+    values = iter((a, b, c))
+    detail: Dict[str, Any] = {}
+    for name in DETAIL_FIELDS[kind]:
+        if name == "op":
+            detail[name] = op
+        elif name == "msg":
+            detail[name] = next(values).kind
+        else:
+            detail[name] = next(values)
+    return TraceEvent(time=time, kind=kind, pid=pid, detail=detail)
 
-    Listeners run synchronously at append time, *before* the simulator
+
+class Trace:
+    """Event counts, a flight recorder, optional capture, and listeners.
+
+    Listeners run synchronously at record time, *before* the simulator
     processes the next event -- that is what lets a failure injector
     crash a process "immediately after its first store completes",
     mirroring the instant-precise schedules in the paper's proofs.
-
-    A listener may subscribe to specific event ``kinds``; emitters then
-    skip :class:`TraceEvent` construction entirely for kinds nobody
-    wants (see the module docstring).
+    A listener may subscribe to specific event ``kinds``; all-kind
+    listeners run first.
     """
 
     def __init__(
@@ -130,20 +168,21 @@ class Trace:
             if flight_recorder
             else None
         )
-        self._events: List[TraceEvent] = []
+        #: Captured events, one list per :meth:`tick` argument: kind,
+        #: time, pid, op and the three positional detail values.
+        self._columns: Tuple[List[Any], ...] = ([], [], [], [], [], [], [])
         #: Listeners for every kind, in subscription order.
         self._all_listeners: List[Listener] = []
         #: kind -> listeners restricted to that kind.
         self._kind_listeners: Dict[str, List[Listener]] = {}
         self._counts: Dict[str, int] = {}
-        #: ``None`` means every kind is wanted (capture on, or a
-        #: listener subscribed without a kind restriction).
-        self._wanted: Optional[FrozenSet[str]] = None
-        self._recompute_wanted()
+        #: Whether someone captures or listens, i.e. whether a tick
+        #: does more than count and feed the ring.
+        self._observed = capture
 
     @property
     def capturing(self) -> bool:
-        """Whether emitted events are retained in :attr:`events`."""
+        """Whether recorded events are retained in :attr:`events`."""
         return self._capture
 
     @property
@@ -151,21 +190,21 @@ class Trace:
         """The flight recorder, or ``None`` when disabled."""
         return self._ring
 
-    def wants(self, kind: str) -> bool:
-        """Whether an emitter must build a real event for ``kind``."""
-        wanted = self._wanted
-        return True if wanted is None else kind in wanted
-
     def tick(
-        self, kind: str, time: float = 0.0, pid: int = -1, op: Any = None
+        self,
+        kind: str,
+        time: float = 0.0,
+        pid: int = -1,
+        op: Any = None,
+        a: Any = None,
+        b: Any = None,
+        c: Any = None,
     ) -> None:
-        """Count one ``kind`` occurrence without building an event.
+        """Record one ``kind`` event at ``time`` on process ``pid``.
 
-        The allocation-free sibling of :meth:`emit`, used by emitters
-        when :meth:`wants` says nobody would see the event.  Keeps
-        :meth:`count` exact with tracing off, and feeds the flight
-        recorder the same ``(time, kind, pid, op)`` coordinates a full
-        event would carry.
+        ``a``, ``b`` and ``c`` are the event's detail values, in the
+        order :data:`DETAIL_FIELDS` names them for ``kind``.  They are
+        only looked at when someone captures or listens.
         """
         counts = self._counts
         counts[kind] = counts.get(kind, 0) + 1
@@ -186,24 +225,34 @@ class Trace:
                 ring.wraps += 1
             else:
                 ring.next_index = index
+        if self._observed:
+            self._observe(kind, time, pid, op, a, b, c)
 
-    def emit(self, event: TraceEvent) -> None:
-        """Record ``event`` and notify listeners."""
-        kind = event.kind
+    #: ``perfbench/tracer.py`` wraps ``Trace.emit`` by name, so the
+    #: name stays as an alias; nothing in the package calls it.
+    emit = tick
+
+    def _observe(
+        self, kind: str, time: float, pid: int, op: Any, a: Any, b: Any, c: Any
+    ) -> None:
         if self._capture:
-            self._events.append(event)
-        counts = self._counts
-        counts[kind] = counts.get(kind, 0) + 1
-        ring = self._ring
-        if ring is not None:
-            ring.record(
-                event.time, KIND_IDS[kind], event.pid, event.detail.get("op")
-            )
+            kinds, times, pids, ops, firsts, seconds, thirds = self._columns
+            kinds.append(kind)
+            times.append(time)
+            pids.append(pid)
+            ops.append(op)
+            firsts.append(a)
+            seconds.append(b)
+            thirds.append(c)
+        event = None
         if self._all_listeners:
+            event = _render(kind, time, pid, op, a, b, c)
             for listener in list(self._all_listeners):
                 listener(event)
         kind_listeners = self._kind_listeners.get(kind)
         if kind_listeners:
+            if event is None:
+                event = _render(kind, time, pid, op, a, b, c)
             for listener in list(kind_listeners):
                 listener(event)
 
@@ -212,17 +261,15 @@ class Trace:
     ) -> Callable[[], None]:
         """Register ``listener``; returns an unsubscribe function.
 
-        With ``kinds=None`` the listener sees every event (and forces
-        emitters onto the slow path for every kind).  With an explicit
-        kind list it sees only those kinds, and every other kind keeps
-        its allocation-free fast path.
+        With ``kinds=None`` the listener sees every event; with an
+        explicit kind list it sees only those kinds.
         """
         if kinds is None:
             self._all_listeners.append(listener)
         else:
             for kind in kinds:
                 self._kind_listeners.setdefault(kind, []).append(listener)
-        self._recompute_wanted()
+        self._observed = True
 
         def unsubscribe() -> None:
             if kinds is None:
@@ -235,28 +282,24 @@ class Trace:
                         listeners.remove(listener)
                     if not listeners:
                         self._kind_listeners.pop(kind, None)
-            self._recompute_wanted()
+            self._observed = self._capture or bool(
+                self._all_listeners or self._kind_listeners
+            )
 
         return unsubscribe
-
-    def _recompute_wanted(self) -> None:
-        if self._capture or self._all_listeners:
-            self._wanted = None
-        else:
-            self._wanted = frozenset(self._kind_listeners)
 
     # -- queries ---------------------------------------------------------
 
     @property
     def events(self) -> List[TraceEvent]:
-        """All captured events, in emission order."""
-        return list(self._events)
+        """All captured events, in recording order."""
+        return list(self)
 
     def __len__(self) -> int:
-        return len(self._events)
+        return len(self._columns[0])
 
     def __iter__(self) -> Iterator[TraceEvent]:
-        return iter(self._events)
+        return map(_render, *self._columns)
 
     def count(self, kind: str) -> int:
         """Number of events of ``kind`` (works even when not capturing)."""
@@ -268,7 +311,7 @@ class Trace:
         """Captured events matching the given kind and/or process."""
         return [
             event
-            for event in self._events
+            for event in self
             if (kind is None or event.kind == kind)
             and (pid is None or event.pid == pid)
         ]
@@ -276,24 +319,20 @@ class Trace:
     def format(self, kinds: Optional[List[str]] = None) -> str:
         """Human-readable transcript, optionally restricted to ``kinds``."""
         wanted = set(kinds) if kinds is not None else None
-        lines = [
-            str(event)
-            for event in self._events
-            if wanted is None or event.kind in wanted
-        ]
-        return "\n".join(lines)
+        return "\n".join(
+            str(event) for event in self if wanted is None or event.kind in wanted
+        )
 
 
 class NullTrace(Trace):
-    """A trace that wants nothing and records nothing.
+    """A trace that records nothing.
 
     Components constructed without a trace share the module-level
     :data:`NULL_TRACE` singleton; it cannot capture and refuses
-    listeners, so its fast path can never be deactivated.  Counts are
-    dropped too: on a process-wide singleton they would aggregate
-    unrelated runs, so keeping them would only cost dict work on the
-    hot path to produce a meaningless number.  The flight recorder is
-    off for the same reason.
+    listeners.  Counts are dropped too: on a process-wide singleton
+    they would aggregate unrelated runs, so keeping them would only
+    cost dict work on the hot path to produce a meaningless number.
+    The flight recorder is off for the same reason.
     """
 
     def __init__(self):
@@ -308,11 +347,15 @@ class NullTrace(Trace):
         )
 
     def tick(
-        self, kind: str, time: float = 0.0, pid: int = -1, op: Any = None
+        self,
+        kind: str,
+        time: float = 0.0,
+        pid: int = -1,
+        op: Any = None,
+        a: Any = None,
+        b: Any = None,
+        c: Any = None,
     ) -> None:
-        pass
-
-    def emit(self, event: TraceEvent) -> None:  # pragma: no cover - safety net
         pass
 
 

@@ -44,13 +44,18 @@ def test_live_nonblocking_recover_records_failures():
 
 
 def _exercise(cluster):
-    """A small cross-backend program: traffic, one crash, one recovery."""
+    """A small cross-backend program: traffic, one crash, one recovery.
+
+    The observability surface is read after the cluster has closed: the
+    live backend's loop thread keeps recording late acks until then, so
+    a ``metrics()`` read and a later recorder read could disagree.
+    """
     with cluster as c:
         c.session(0).write_sync("a")
         c.crash(0)
         c.recover(0)
         c.session(1).write_sync("b")
-        return c.stats(), c.metrics(), c.flight_recorder
+    return cluster.stats(), cluster.metrics(), cluster.flight_recorder
 
 
 @pytest.mark.parametrize("backend", ["sim", "kv", "live"])

@@ -18,11 +18,17 @@ from pathlib import Path
 import pytest
 
 from repro.api import open_cluster
+from repro.cluster import SimCluster
+from repro.common.config import ClusterConfig, NetworkConfig
 from repro.scenarios.library import get_scenario
 from repro.scenarios.runner import _normalize_transcript
 from repro.scenarios.runner import run_scenario as run_spec
 from repro.sim.tracing import ALL_KINDS
-from tests.integration.determinism_scenario import PROTOCOLS, run_scenario
+from tests.integration.determinism_scenario import (
+    PROTOCOLS,
+    _renumber_ops,
+    run_scenario,
+)
 
 GOLDEN_DIR = Path(__file__).resolve().parent.parent / "data" / "determinism"
 
@@ -111,6 +117,17 @@ class TestRingAccounting:
             expected = sum(cluster.sim.trace.count(kind) for kind in ALL_KINDS)
             assert ring.total == expected == len(ring)
 
+    def test_ring_does_not_depend_on_capture(self):
+        # The flight recorder must hold the same slots whether the
+        # trace captures or not: drops, duplicates and timers carry
+        # their message's op either way.
+        capture_off = _lossy_ring(capture_trace=False)
+        capture_on = _lossy_ring(capture_trace=True)
+        assert capture_on == capture_off
+        for kind in ("drop", "duplicate", "timer"):
+            assert f" {kind} " in capture_on
+            assert f" {kind} None" not in capture_on
+
     def test_session_latency_histograms_fill(self):
         with open_cluster(backend="sim", seed=5) as cluster:
             session = cluster.session(0)
@@ -121,3 +138,25 @@ class TestRingAccounting:
                 histogram = snapshot.histograms[f"op.{kind}.latency"]
                 assert histogram.total == 1
                 assert histogram.minimum > 0.0
+
+
+def _lossy_ring(capture_trace: bool) -> str:
+    """The flight recorder of a seeded lossy run, op ids renumbered."""
+    config = ClusterConfig(
+        num_processes=3,
+        network=NetworkConfig(drop_probability=0.2, duplicate_probability=0.2),
+        seed=5,
+    )
+    cluster = SimCluster(
+        protocol="persistent", config=config, capture_trace=capture_trace
+    )
+    cluster.start()
+    for i in range(20):
+        cluster.write_sync(0, f"v{i}")
+        cluster.read_sync(1)
+    return _renumber_ops(
+        "\n".join(
+            f"{event.time!r} {event.kind} {event.pid} {event.op}"
+            for event in cluster.flight_recorder.events()
+        )
+    )

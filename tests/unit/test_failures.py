@@ -11,6 +11,7 @@ from repro.sim.failures import (
     RandomCrashPlan,
     Trigger,
 )
+from repro.sim.tracing import TraceEvent
 
 
 class TestCrashSchedule:
@@ -77,8 +78,6 @@ class TestTriggers:
 
     def test_trigger_fires_only_once(self):
         trigger = Trigger(predicate=lambda e: True, action="crash", pid=0)
-        from repro.sim.tracing import TraceEvent
-
         event = TraceEvent(time=0.0, kind=tracing.SEND, pid=0)
         assert trigger.matches(event)
         trigger.fired = True
@@ -121,16 +120,27 @@ class TestTriggers:
         assert store_end_times and cluster.now == store_end_times[0]
         unsubscribe()
 
-    def test_injector_without_triggers_keeps_fast_path(self):
+    def test_injector_without_triggers_keeps_fast_path(self, monkeypatch):
+        built = []
+
+        def counting(*args, **kwargs):
+            built.append(args or kwargs)
+            return TraceEvent(*args, **kwargs)
+
+        monkeypatch.setattr(tracing, "TraceEvent", counting)
         cluster = SimCluster(
             protocol="persistent", num_processes=3, capture_trace=False
         )
         cluster.start()
-        # Nothing subscribed: every kind stays on the tick-only path.
-        assert not cluster.trace.wants(tracing.SEND)
+        # Nothing subscribed: the injector alone builds no events.
+        cluster.write_sync(0, "x")
+        assert built == []
         cluster.injector.crash_when(lambda e: False, pid=0)
         # An installed trigger must see every kind (predicates are opaque).
-        assert cluster.trace.wants(tracing.SEND)
+        cluster.write_sync(0, "y")
+        assert {event["kind"] for event in built} >= {
+            tracing.SEND, tracing.DELIVER, tracing.STORE_END, tracing.REPLY,
+        }
 
     def test_recover_trigger(self):
         cluster = SimCluster(protocol="persistent", num_processes=3)

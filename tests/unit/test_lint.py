@@ -35,7 +35,6 @@ RULE_FIXTURES = {
     "DET002": ("det002_wall_clock.py", False),
     "DET003": ("det003_set_iteration.py", False),
     "TRC001": ("trc001_unpinned_kind.py", False),
-    "HOT001": ("hot001_unguarded.py", False),
     "API001": ("api001_undeclared_verb.py", False),
     "POOL001": ("pool001_mutable_spec.py", False),
     "LINT001": ("lint001_reasonless_allow.py", False),

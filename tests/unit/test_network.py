@@ -202,20 +202,18 @@ class TestLossAndDuplication:
 
 
 class TestTracingFastPath:
-    """Emitters must skip TraceEvent construction when nobody wants it."""
+    """No TraceEvent is built unless someone listens or reads a capture."""
 
     def _counting_network(self, monkeypatch, trace):
-        from repro.sim import network as network_module
-
         constructed = []
-        real = network_module.TraceEvent
+        real = tracing.TraceEvent
 
         def counting(*args, **kwargs):
             event = real(*args, **kwargs)
             constructed.append(event.kind)
             return event
 
-        monkeypatch.setattr(network_module, "TraceEvent", counting)
+        monkeypatch.setattr(tracing, "TraceEvent", counting)
         kernel = Kernel(seed=0)
         network = SimNetwork(kernel, 3, NetworkConfig(), trace)
         for pid in range(3):
@@ -258,4 +256,9 @@ class TestTracingFastPath:
         kernel, network, constructed = self._counting_network(monkeypatch, trace)
         network.send(0, 1, query(), depth=0)
         kernel.run()
+        # Capture keeps the raw values; events are rendered on read.
+        assert constructed == []
+        assert [event.kind for event in trace.events] == [
+            tracing.SEND, tracing.DELIVER,
+        ]
         assert constructed == [tracing.SEND, tracing.DELIVER]

@@ -97,7 +97,7 @@ def check_modules() -> List[str]:
 #: Rule-id tokens worth cross-checking: the registry's prefixes with a
 #: three-digit number.  Keeping the prefixes explicit avoids false
 #: positives on other ALLCAPS+digits tokens in prose.
-_RULE_ID = re.compile(r"\b(?:DET|TRC|HOT|API|POOL|LINT)[0-9]{3}\b")
+_RULE_ID = re.compile(r"\b(?:DET|TRC|API|POOL|LINT)[0-9]{3}\b")
 
 #: The document that must describe every registered lint rule.
 RULES_DOC = "docs/determinism.md"
